@@ -27,7 +27,7 @@ The operation each layer counts:
 * ``end_to_end_multi_core`` — trace records through a 4-core PPF mix
   (scalar heap-scheduled engine)
 * ``end_to_end_multi_core_batched`` — the same mix pinned to the
-  batched engine (quantum-scheduled, fused per-core kernels; the
+  batched engine (quantum-scheduled, fused per-core runners; the
   pair's ops_per_sec ratio is the multi-core engine speedup, gated
   ≥2.5× versus the committed baseline in
   ``tests/test_engine_equivalence.py``)

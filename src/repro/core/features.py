@@ -230,60 +230,6 @@ def scaled_production_features(budget_factor: float) -> List[Feature]:
     return scaled
 
 
-def production_index_batch(
-    candidate_addrs,
-    trigger_addrs,
-    pc,
-    pcs1,
-    pcs2,
-    pcs3,
-    deltas,
-    depths,
-    signatures,
-    confidences,
-):
-    """Vectorized twin of the fused production-feature indexer.
-
-    Every argument is an array-like (scalars broadcast); the return value
-    is a ``(9, n)`` int64 matrix whose rows are the production features
-    in catalog order — index-for-index identical with
-    :meth:`repro.core.filter.PerceptronFilter.feature_indices` on the
-    production catalog (``tests/test_engine_equivalence.py`` cross-checks
-    the two).  This is the batched engine's feature-hash primitive for
-    scoring candidate batches outside the event loop (benches, offline
-    analysis); the in-loop kernel stays scalar because training can move
-    weights between two candidates of the same trigger.
-    """
-    import numpy as np
-
-    cand = np.asarray(candidate_addrs, dtype=np.int64)
-    trig = np.broadcast_to(np.asarray(trigger_addrs, dtype=np.int64), cand.shape)
-    pcv = np.broadcast_to(np.asarray(pc, dtype=np.int64), cand.shape)
-    p1 = np.broadcast_to(np.asarray(pcs1, dtype=np.int64), cand.shape)
-    p2 = np.broadcast_to(np.asarray(pcs2, dtype=np.int64), cand.shape)
-    p3 = np.broadcast_to(np.asarray(pcs3, dtype=np.int64), cand.shape)
-    delta = np.asarray(deltas, dtype=np.int64)
-    depth = np.broadcast_to(np.asarray(depths, dtype=np.int64), cand.shape)
-    sig = np.broadcast_to(np.asarray(signatures, dtype=np.int64), cand.shape)
-    conf = np.broadcast_to(np.asarray(confidences, dtype=np.int64), cand.shape)
-    magnitude = np.minimum(np.abs(delta), 63)
-    encoded = np.where(delta < 0, magnitude | 64, magnitude)
-    encoded = np.broadcast_to(encoded, cand.shape)
-    return np.stack(
-        [
-            (cand >> 6) & 4095,  # phys_address
-            (cand >> 12) & 4095,  # cache_line
-            (cand >> 18) & 4095,  # page_address
-            ((trig >> 12) ^ conf) & 4095,  # page_xor_confidence
-            (p1 ^ (p2 >> 1) ^ (p3 >> 2)) & 2047,  # pc_path_hash
-            (sig ^ encoded) & 2047,  # signature_xor_delta
-            (pcv ^ depth) & 1023,  # pc_xor_depth
-            (pcv ^ encoded) & 1023,  # pc_xor_delta
-            conf & 127,  # confidence
-        ]
-    )
-
-
 def feature_by_name(name: str, catalog: Sequence[Feature] | None = None) -> Feature:
     """Look a feature up by name in a catalog (production by default)."""
     for feature in catalog if catalog is not None else exploration_features():

@@ -230,55 +230,16 @@ class PerceptronFilter:
         code, total, indices = self.decide(ctx)
         return DECISION_BY_CODE[code], total, indices
 
-    # -- batched inference ---------------------------------------------------------
-
-    def batch_weight_sums(self, index_matrix):
-        """Vectorized perceptron sums for a ``(features, n)`` index matrix.
-
-        Gathers one weight per feature row and sums down the feature
-        axis with numpy; returns an ``(n,)`` int64 array.  Inference
-        only — no stats, no training — because batched scoring is only
-        event-order safe when nothing trains between the candidates
-        (benches, offline analysis, ``train_on_displacement=False``
-        studies).  Inside the simulator the scalar :meth:`decide` stays
-        authoritative.
-        """
-        import numpy as np
-
-        totals = np.zeros(np.asarray(index_matrix[0]).shape, dtype=np.int64)
-        for weights, indices in zip(self._weight_lists, index_matrix):
-            totals += np.asarray(weights, dtype=np.int64)[np.asarray(indices)]
-        return totals
-
-    def decide_batch(self, index_matrix):
-        """Vectorized decision codes + sums for an index matrix.
-
-        Returns ``(codes, totals)`` numpy arrays using the same
-        ``REJECT_CODE``/``PREFETCH_LLC_CODE``/``PREFETCH_L2_CODE``
-        thresholds as :meth:`decide`.  Same stats/training caveat as
-        :meth:`batch_weight_sums`.
-        """
-        import numpy as np
-
-        totals = self.batch_weight_sums(index_matrix)
-        cfg = self.config
-        codes = np.where(
-            totals >= cfg.tau_hi,
-            PREFETCH_L2_CODE,
-            np.where(totals >= cfg.tau_lo, PREFETCH_LLC_CODE, REJECT_CODE),
-        )
-        return codes, totals
-
     # -- engine seam ---------------------------------------------------------------
 
     def engine_view(self):
-        """Raw mutable state for the batched engine's fused kernel.
+        """Raw mutable state for the batched engine's fused runner.
 
         Returns ``(config, weight_lists, feature_names, stats, fused)``.
         ``weight_lists`` are direct references into the tables (restored
         in place by checkpoints, so never stale); ``fused`` is True only
         when the feature set is exactly the production catalog, which is
-        what the fused kernel's inlined nine-index expression assumes.
+        what the fused runner's inlined nine-index expression assumes.
         """
         return (
             self.config,

@@ -231,13 +231,13 @@ class PPF(Prefetcher):
     # -- engine seam -----------------------------------------------------------
 
     def engine_view(self):
-        """Raw mutable state for the batched engine's fused kernel.
+        """Raw mutable state for the batched engine's fused runner.
 
         Returns ``(underlying, filter, prefetch_table, reject_table,
         ppf_stats, stats, use_reject_table, train_on_displacement,
         recorder)``.  ``_pcs`` is part of the seam contract as well: the
-        kernel reads it at chunk start and writes it back before
-        returning (it is a tuple, so it cannot be shared in place).
+        runner reads it when it starts and writes it back when it closes
+        (it is a tuple, so it cannot be shared in place).
         """
         return (
             self.underlying,

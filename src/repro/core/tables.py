@@ -128,12 +128,12 @@ class DecisionTable:
     # -- engine seam ---------------------------------------------------------
 
     def engine_view(self):
-        """Raw mutable state for the batched engine's fused kernel.
+        """Raw mutable state for the batched engine's fused runner.
 
         Returns ``(slots, index_mask)``.  ``slots`` is mutated in place
         with the same :class:`TableEntry` layout the scalar methods use;
         the ``inserts``/``hits``/``conflicts`` counters are part of the
-        seam contract (read at chunk start, written back at chunk end).
+        seam contract (read at runner start, written back at close).
         Note the tag is always ``(block >> INDEX_BITS) & 63`` regardless
         of ``entries`` — :meth:`_locate` fixes INDEX_BITS at 10.
         """

@@ -7,10 +7,11 @@ checkpoints, sweeps) never sees which driver is running:
 
 * ``scalar`` — the original record-at-a-time loop.  Bit-identical with
   every previous release; the golden-stats oracle.
-* ``batched`` — pulls the trace in chunks, decomposes addresses with
-  numpy, and runs a fused per-record kernel that inlines the hot
-  core/cache/SPP/perceptron path.  Event-order equivalent with scalar
-  (see docs/performance.md, "Batched engine").
+* ``batched`` — runs each core through a per-core runner; for the
+  production PPF configuration that is one fused generator inlining the
+  hot trace/core/cache/SPP/perceptron/DRAM path, used at any core count
+  (single-core is the one-core schedule).  Event-order equivalent with
+  scalar (see docs/performance.md, "Batched engine").
 
 Engines are registry components (kind ``"engine"``), so ``--engine``
 names resolve — and fail — through the same catalog machinery as
@@ -42,9 +43,11 @@ rules, plus:
    loop would (``sim._capture_core``), with that core's state flushed
    first.
 
-Point 2 is phase-boundary exact in the multi-core case, with two
-documented relaxations (both scalar-reachable, both enforced by the
-cross-engine checkpoint tests):
+In the multi-core case point 2 holds exactly at warmup end and *per
+core* at every capture (each captured ``CoreOutcome`` is the scalar
+engine's, to the last counter).  Elsewhere it is relaxed in two
+documented ways (enforced by the cross-engine checkpoint, golden and
+differential tests):
 
 * ``advance_multi`` drains whole scheduling turns, so it may overshoot
   ``n`` by the records already committed to the in-flight quantum (the
@@ -54,12 +57,17 @@ cross-engine checkpoint tests):
 * A batched engine may run records *ahead* of the global schedule when
   they provably touch no shared state (private-L1 hits in the
   non-inclusive hierarchy).  A **mid-measure** ``state_dict()`` is then
-  a valid per-core record boundary that can sit a few records past the
-  scalar engine's at the same call — restoring it (under either engine)
-  still finishes bit-identical, and the states reconverge wherever
-  runners flush: warmup end, every capture, and every return when
-  telemetry is attached (*exact mode*: run-ahead disabled so probe
-  samples land on scalar-identical record counts).
+  a valid per-core record boundary that can sit a few records away
+  from the scalar engine's at the same call; restoring it (under either
+  engine) still captures every core's outcome bit-identically.  Run-ahead
+  can also reach the *final* capture before the scalar schedule would
+  have stepped the other (already captured, replaying) cores as far, or
+  after it stepped them further, so after ``measure()`` the sim's
+  ``consumed``, the shared LLC/DRAM counters and the private state of
+  replaying cores may differ from the scalar engine's by those
+  run-ahead records.  With telemetry attached the driver runs *exact*
+  (run-ahead disabled) so probe samples land on scalar-identical record
+  counts.
 """
 
 from __future__ import annotations
@@ -95,12 +103,6 @@ def make_engine(config) -> Engine:
     Unknown names raise the registry's
     :class:`~repro.registry.UnknownComponentError` (with the sorted
     catalog in the message), which the CLI surfaces as a did-you-mean
-    error.  Engines exposing a ``configure(config)`` hook receive the
-    full :class:`~repro.sim.config.SimConfig` so they can read knobs
-    like ``engine_chunk``.
+    error.
     """
-    engine = registry.create("engine", getattr(config, "engine", "scalar"))
-    configure = getattr(engine, "configure", None)
-    if configure is not None:
-        configure(config)
-    return engine
+    return registry.create("engine", getattr(config, "engine", "scalar"))

@@ -1,13 +1,15 @@
-"""Multi-core advances: the shared schedule and the cycle-quantum driver.
+"""The batched engine's per-core runners and the schedules that drive them.
 
-Both engines' ``advance_multi`` implementations live here, built on one
-scheduling fact.  The scalar multi-core loop picks, before every record,
-the core with the minimum ``(cycle, core_index)`` key (``min`` over core
-cycles with lowest-index tie break).  Between two consecutive picks only
-the picked core's state changes — so once core ``i`` is the minimum it
-*stays* the minimum until its own cycle passes the runner-up's key.
-With the runner-up at ``(c2, j2)`` and integer cycles, core ``i`` may
-run unsupervised exactly while::
+One fused runner serves every core count.  Single-core is the N = 1
+case: :func:`batched_advance` runs core 0's runner for one turn with no
+cycle bound.  Multi-core runs the same runners under the scalar
+schedule, which rests on one fact.  The scalar multi-core loop picks,
+before every record, the core with the minimum ``(cycle, core_index)``
+key (``min`` over core cycles with lowest-index tie break).  Between
+two consecutive picks only the picked core's state changes — so once
+core ``i`` is the minimum it *stays* the minimum until its own cycle
+passes the runner-up's key.  With the runner-up at ``(c2, j2)`` and
+integer cycles, core ``i`` may run unsupervised exactly while::
 
     cycle_i <  c2          if j2 < i   (runner-up wins the tie)
     cycle_i <= c2          if i  < j2  (i wins the tie)
@@ -27,10 +29,14 @@ quantum bound, and only a *missing* record at or past the bound suspends
 — with the already-pulled record parked in a stash and replayed first on
 resume, so the trace stream never loses a record.  The suspend key is
 the record's pre-front-end cycle, exactly the scalar schedule key.  The
-shared-access *order* is therefore still the scalar schedule's; states
-at mid-phase ``advance`` boundaries are valid per-core record boundaries
-that converge to the scalar state at every phase boundary (warmup end,
-each capture), which the cross-engine checkpoint tests enforce.  When
+shared-access *order* up to each capture is therefore the scalar
+schedule's, and every core's outcome is captured at exactly the scalar
+record with exactly the scalar state (contract point 4).  Run-ahead does
+shift *where* an advance stops: mid-phase ``advance`` boundaries are
+valid per-core record boundaries, and after the final capture
+``consumed``, the shared LLC/DRAM counters and the private state of
+replaying cores may differ from the scalar engine's by the run-ahead
+records (see contract point 2 in :mod:`repro.engine.base`).  When
 telemetry is attached the driver runs *exact* (no run-ahead), so probe
 samples land on scalar-identical global record counts.
 
@@ -38,18 +44,20 @@ samples land on scalar-identical global record counts.
   per record), with the O(cores) ``min`` scan replaced by a heap of
   ``(cycle, index)`` keys.  Same picks, same tie breaks: still the
   bit-identity oracle, just without rescanning every core per access.
-* :func:`batched_advance_multi` — the cycle-quantum batched driver.  The
-  same heap hands out quanta; within a quantum the picked core runs a
-  per-core *runner*: the fused PPF kernel of :mod:`repro.engine.batched`
-  re-expressed as a suspended generator over the core's private L1/L2
-  path (or the generic inlined-core loop, or plain ``core.step``).
+* :func:`batched_advance` / :func:`batched_advance_multi` — the batched
+  engine's two entry points.  Each core runs a per-core *runner*: the
+  fused PPF path (:func:`_ppf_runner`), the generic inlined-core loop
+  around the real ``hierarchy.access`` (:func:`_generic_runner`), or
+  plain ``core.step`` (:func:`_step_runner`), chosen by
+  :func:`_core_mode`.  The multi-core driver hands out quanta from the
+  same heap.
 
 Why generators: under contention the schedule switches cores every few
 records (mean segment lengths of ~2-4 records are typical for 4-core
-mixes), far too short to amortize re-hoisting the kernel's ~150 locals
-per segment.  A generator hoists once per ``advance_multi``, suspends at
-quantum boundaries with its locals intact, and writes everything back in
-a ``finally`` block when closed.  Closing is the flush point: the driver
+mixes), far too short to amortize re-hoisting the runner's ~150 locals
+per segment.  A generator hoists once per advance, suspends at quantum
+boundaries with its locals intact, and writes everything back in a
+``finally`` block when closed.  Closing is the flush point: the driver
 closes a core's runner before capturing its measurement outcome and
 closes all runners before returning, which is what keeps contract points
 2 and 4 (state flushed, captures at the exact scalar record) honest.
@@ -71,8 +79,9 @@ are safe to alias from any runner because every mutation is in place.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from ..core.filter import PerceptronFilter
 from ..core.ppf import PPF
@@ -86,15 +95,16 @@ from ..memory.hierarchy import MemoryHierarchy
 from ..prefetchers.spp import SPP, _GHREntry, _PatternEntry, _SignatureEntry
 from ..workloads.synthetic import _PC_BASE, _PC_STRIDE, HotsetPattern, TraceStream
 
-try:
-    from collections import OrderedDict
-except ImportError:  # pragma: no cover
-    raise
-
 #: Bound meaning "no runner-up: run until budget runs out".  A float
 #: infinity compares above every int cycle, keeping the per-record guard
 #: a single comparison.
 _NO_BOUND = float("inf")
+
+#: Most records one core runs in a single multi-core scheduling turn,
+#: and most records an unbounded generic turn pulls into one list.
+#: Results do not depend on it: a core cut short is still the schedule
+#: minimum and is re-picked on the next turn.
+_TURN_CAP = 4_096
 
 #: ``SPP.encode_delta`` precomputed for every reachable delta.  Block
 #: offsets live in ``[0, 64)``, so every signature delta is in
@@ -103,11 +113,11 @@ _NO_BOUND = float("inf")
 _ENC_TAB = list(range(64)) + [0] + [64 | d for d in range(63, 0, -1)]
 
 
-# -- eligibility (shared with the single-core fused kernel) ---------------------
+# -- eligibility -----------------------------------------------------------------
 
 
 def _hier_eligible(hier) -> bool:
-    """Hierarchy-level preconditions of the fused kernel (any core count)."""
+    """Hierarchy-level preconditions of the fused runner (any core count)."""
     if type(hier) is not MemoryHierarchy:
         return False
     if type(hier.dram) is not DRAM:
@@ -118,11 +128,11 @@ def _hier_eligible(hier) -> bool:
 
 
 def _ppf_core_eligible(hier, core, pf) -> bool:
-    """Per-core preconditions of the fused kernel.
+    """Per-core preconditions of the fused runner.
 
-    Exact-type checks on purpose (same policy as the single-core path):
-    a subclass overriding any hook would silently diverge from the
-    inlined logic, so anything non-stock takes the generic runner.
+    Exact-type checks on purpose: a subclass overriding any hook would
+    silently diverge from the inlined logic, so anything non-stock takes
+    the generic runner.
     """
     if type(core) is not O3Core or core.hierarchy is not hier:
         return False
@@ -149,6 +159,7 @@ def _ppf_core_eligible(hier, core, pf) -> bool:
 
 
 def _core_mode(sim, i: int) -> str:
+    """Which runner core ``i`` of ``sim`` (single- or multi-core) gets."""
     core = sim.o3cores[i]
     if type(core) is not O3Core:
         return "step"
@@ -213,19 +224,41 @@ def scalar_advance_multi(sim, n_records: int) -> int:
     return taken
 
 
-# -- cycle-quantum batched advance ----------------------------------------------
+# -- batched advances ---------------------------------------------------------
 
 
-def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
+def batched_advance(sim, n_records: int) -> int:
+    """Single-core advance: one unbounded turn of core 0's runner.
+
+    With no runner-up there is no cycle bound (``_NO_BOUND``), so the
+    runner steps exactly ``n_records`` records (the sim clamps ``n`` to
+    its trace's end) and never stashes; closing it flushes every hoisted
+    local before the call returns (contract point 2).
+    """
+    if n_records <= 0:
+        return 0
+    mode = _core_mode(sim, 0)
+    hier = sim.hierarchy
+    shared = _hoist_shared(hier) if mode == "ppf" else None
+    runner = _start_runner(sim, 0, mode, shared, False)
+    try:
+        taken = runner.send((_NO_BOUND, n_records))[1]
+    finally:
+        runner.close()
+        if shared is not None:
+            _flush_shared(hier, shared)
+    sim.consumed += taken
+    return taken
+
+
+def batched_advance_multi(sim, n_records: int) -> int:
     """Drive the heap schedule in cycle quanta over per-core runners.
 
     Each scheduling turn pops the minimum ``(cycle, index)`` core,
     derives the bit-identity-preserving cycle bound from the runner-up's
     key (module docstring), and lets the core's suspended runner execute
     up to that bound — further capped by the remaining record budget,
-    the phase target, and ``quantum`` (``SimConfig.engine_quantum``, a
-    pure throughput/latency knob: a capped core is still the schedule
-    minimum and is simply re-picked).  Runners are closed (flushed)
+    the phase target, and ``_TURN_CAP``.  Runners are closed (flushed)
     before a measurement capture and before returning.
 
     A runner may suspend holding a pulled-but-unprocessed record (an
@@ -250,37 +283,15 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
         return 0
     warm_target = sim.config.warmup_records
     measure_target = sim.config.measure_records
-    cap = quantum if quantum > 0 else n_records
     #: Telemetry pins the exact schedule (no run-ahead): probe samples
     #: then land on scalar-identical global record counts.
     exact = sim._telemetry is not None
     modes = [_core_mode(sim, i) for i in range(cores)]
+    hier = sim.hierarchy
     shared = None
     if "ppf" in modes:
         if all(mode == "ppf" for mode in modes):
-            # Hoist the shared LLC/DRAM counters into one list aliased
-            # by every fused runner (module docstring, shared-state
-            # rule); written back in the finally below.  Captures only
-            # read the core<i> stats subtree, so no mid-advance flush.
-            hier = sim.hierarchy
-            ll_stats = hier.llc.engine_view()[2]
-            dstats = hier.dram.stats
-            shared = [
-                ll_stats.demand_accesses,
-                ll_stats.demand_hits,
-                ll_stats.demand_misses,
-                ll_stats.fills,
-                ll_stats.prefetch_fills,
-                ll_stats.evictions,
-                ll_stats.useful_prefetches,
-                ll_stats.useless_prefetch_evictions,
-                dstats.accesses,
-                dstats.demand_accesses,
-                dstats.prefetch_accesses,
-                dstats.row_hits,
-                dstats.row_misses,
-                dstats.total_queue_delay,
-            ]
+            shared = _hoist_shared(hier)
         else:
             # Mixed modes: generic/step cores mutate the live shared
             # stats objects directly, so the hoisted-list writeback
@@ -307,8 +318,8 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
             else:
                 stop_at = _NO_BOUND
             budget = n_records - taken_total
-            if budget > cap:
-                budget = cap
+            if budget > _TURN_CAP:
+                budget = _TURN_CAP
             if budget < 1:
                 budget = 1  # draining stashes past the budget: minimal turns
             if measuring:
@@ -326,13 +337,7 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
                     budget = remaining
             runner = runners[i]
             if runner is None:
-                mode = modes[i]
-                if mode == "ppf":
-                    runner = _ppf_runner(sim, i, shared, exact)
-                else:
-                    runner = _RUNNERS[mode](sim, i)
-                next(runner)  # prime: hoist locals, park at the first yield
-                runners[i] = runner
+                runner = runners[i] = _start_runner(sim, i, modes[i], shared, exact)
             new_cycle, seg, stash = runner.send((stop_at, budget))
             if stash != stashed[i]:
                 stashed[i] = stash
@@ -356,24 +361,63 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
             if runner is not None:
                 runner.close()
         if shared is not None:
-            (
-                ll_stats.demand_accesses,
-                ll_stats.demand_hits,
-                ll_stats.demand_misses,
-                ll_stats.fills,
-                ll_stats.prefetch_fills,
-                ll_stats.evictions,
-                ll_stats.useful_prefetches,
-                ll_stats.useless_prefetch_evictions,
-                dstats.accesses,
-                dstats.demand_accesses,
-                dstats.prefetch_accesses,
-                dstats.row_hits,
-                dstats.row_misses,
-                dstats.total_queue_delay,
-            ) = shared
+            _flush_shared(hier, shared)
     sim.consumed += taken_total
     return taken_total
+
+
+#: The shared counters the fused runners alias, in ``sh`` index order:
+#: ``sh[0:8]`` are the LLC's, ``sh[8:14]`` DRAM's.
+_SHARED_LLC = (
+    "demand_accesses",
+    "demand_hits",
+    "demand_misses",
+    "fills",
+    "prefetch_fills",
+    "evictions",
+    "useful_prefetches",
+    "useless_prefetch_evictions",
+)
+_SHARED_DRAM = (
+    "accesses",
+    "demand_accesses",
+    "prefetch_accesses",
+    "row_hits",
+    "row_misses",
+    "total_queue_delay",
+)
+
+
+def _hoist_shared(hier) -> list:
+    """The shared LLC/DRAM counters as one list every fused runner aliases.
+
+    See the module's shared-state rule; :func:`_flush_shared` writes the
+    list back when the advance returns.  Captures only read the
+    ``core<i>`` stats subtree, so no mid-advance flush is needed.
+    """
+    llc, dram = hier.llc.stats, hier.dram.stats
+    return [getattr(llc, name) for name in _SHARED_LLC] + [
+        getattr(dram, name) for name in _SHARED_DRAM
+    ]
+
+
+def _flush_shared(hier, shared: list) -> None:
+    llc, dram = hier.llc.stats, hier.dram.stats
+    for name, value in zip(_SHARED_LLC, shared):
+        setattr(llc, name, value)
+    for name, value in zip(_SHARED_DRAM, shared[len(_SHARED_LLC):]):
+        setattr(dram, name, value)
+
+
+def _start_runner(sim, i: int, mode: str, shared, exact: bool):
+    """Build core ``i``'s runner for ``mode`` and prime it (hoist locals,
+    park at the first yield)."""
+    if mode == "ppf":
+        runner = _ppf_runner(sim, i, shared, exact)
+    else:
+        runner = _RUNNERS[mode](sim, i)
+    next(runner)
+    return runner
 
 
 # -- per-core runners -----------------------------------------------------------
@@ -386,9 +430,11 @@ def batched_advance_multi(sim, n_records: int, quantum: int) -> int:
 # then yields ``(cycle, stepped, stashed)`` — ``stashed`` flags a pulled
 # record suspended before processing (its key is the yielded cycle).
 # ``close()`` runs the ``finally`` writeback and parks any stash in the
-# trace's pending slot.  Records are otherwise pulled one at a time
-# straight off the underlying trace iterator (no read-ahead), so the
-# trace stream's checkpoint cursor is exact whenever the driver returns.
+# trace's pending slot.  Records are otherwise pulled straight off the
+# underlying trace iterator, never ahead of the records they execute
+# (one at a time in a bounded turn; an unbounded turn executes every
+# record it pulls), so the trace stream's checkpoint cursor is exact
+# whenever the driver returns.
 
 
 def _step_runner(sim, i: int):
@@ -408,11 +454,15 @@ def _step_runner(sim, i: int):
 def _generic_runner(sim, i: int):
     """Inlined O3Core bookkeeping around the real ``hierarchy.access``.
 
-    The multi-core twin of the batched engine's generic chunk loop:
-    every memory-side event goes through the exact scalar code, so this
+    Every memory-side event goes through the exact scalar code, so this
     path is bit-identical for any hierarchy/prefetcher combination.  No
     run-ahead here — a custom hierarchy may touch shared state on any
-    access, so every record stays inside its quantum.
+    access, so every record stays inside its quantum.  A turn with no
+    bound (single-core, or the last core in the schedule) executes
+    every record it pulls, so it pulls records in lists of up to
+    ``_TURN_CAP`` instead of one ``next`` per record: the trace
+    generator then runs back to back, which measured ~5% faster per
+    record than interleaving it with the hierarchy calls.
     """
     core = sim.o3cores[i]
     trace = sim.traces[i]
@@ -447,44 +497,51 @@ def _generic_runner(sim, i: int):
             while seg < budget and cycle < stop_at:
                 # ---- _EndlessTrace.__next__, sans record rebuild ------------
                 if pending is not None:
-                    rec = pending
+                    recs = (pending,)
                     pending = None
+                elif stop_at == _NO_BOUND:
+                    recs = list(islice(it, min(budget - seg, _TURN_CAP)))
                 else:
-                    try:
-                        rec = next(it)
-                    except StopIteration:
-                        trace.lap_seed += 1
-                        trace._stream = workload.trace(lap_chunk, seed=trace.lap_seed)
-                        it = trace._it = iter(trace._stream)
-                        rec = next(it)
-                bubble = rec.bubble
-                retire = retire_frac + bubble
-                cycle += retire // width
-                retire_frac = retire % width
-                seq += 1
-                while outstanding and outstanding[0][0] <= cycle:
-                    popleft()
-                rob_horizon = seq - rob_size
-                while outstanding and outstanding[0][1] <= rob_horizon:
-                    rob_stalls += 1
-                    completion = popleft()[0]
-                    if completion > cycle:
-                        cycle = completion
+                    rec = next(it, None)
+                    recs = () if rec is None else (rec,)
+                start = seg
+                for rec in recs:
+                    bubble = rec.bubble
+                    retire = retire_frac + bubble
+                    cycle += retire // width
+                    retire_frac = retire % width
+                    seq += 1
                     while outstanding and outstanding[0][0] <= cycle:
                         popleft()
-                while len(outstanding) >= mlp_limit:
-                    mlp_stalls += 1
-                    completion = popleft()[0]
-                    if completion > cycle:
-                        cycle = completion
-                    while outstanding and outstanding[0][0] <= cycle:
-                        popleft()
-                loads += 1
-                ready = access(core_id, rec.pc, rec.addr + reloc, cycle).ready_cycle
-                if ready > cycle:
-                    push((ready, seq))
-                instructions += bubble + 1
-                seg += 1
+                    rob_horizon = seq - rob_size
+                    while outstanding and outstanding[0][1] <= rob_horizon:
+                        rob_stalls += 1
+                        completion = popleft()[0]
+                        if completion > cycle:
+                            cycle = completion
+                        while outstanding and outstanding[0][0] <= cycle:
+                            popleft()
+                    while len(outstanding) >= mlp_limit:
+                        mlp_stalls += 1
+                        completion = popleft()[0]
+                        if completion > cycle:
+                            cycle = completion
+                        while outstanding and outstanding[0][0] <= cycle:
+                            popleft()
+                    loads += 1
+                    ready = access(core_id, rec.pc, rec.addr + reloc, cycle).ready_cycle
+                    if ready > cycle:
+                        push((ready, seq))
+                    instructions += bubble + 1
+                    seg += 1
+                if seg == start:
+                    # Lap exhausted: roll over to the next seed.  The new
+                    # lap's first record executes on the next pass (the
+                    # loop guards have not moved).
+                    trace.lap_seed += 1
+                    trace._stream = workload.trace(lap_chunk, seed=trace.lap_seed)
+                    it = trace._it = iter(trace._stream)
+                    pending = next(it)
             stop_at, budget = yield (cycle, seg, False)
     finally:
         if pending is not None:
@@ -501,25 +558,29 @@ def _generic_runner(sim, i: int):
 def _ppf_runner(sim, i: int, sh: list, exact: bool):  # noqa: C901
     """The fused PPF fast path for core ``i`` as a suspended generator.
 
-    Body and event order are the single-core ``_ppf_kernel``'s, record
-    for record, with four deliberate differences:
+    Replays, record for record and event for event, exactly what the
+    scalar engine does for the production configuration:
 
-    * everything core-private indexes ``i`` (L1/L2 views, prefetcher
-      state, inflight queue, drop counter);
-    * shared LLC/DRAM *counters* go through ``sh``, the driver-owned
-      hoist list every fused runner aliases (see the module's
-      shared-state rule) — the shared containers themselves are aliased
-      live, every mutation is in place;
-    * records are produced one at a time (for the synthetic
-      ``TraceStream``, inline — see the trace-production hoist below —
-      otherwise pulled from the endless iterator; inline lap rollover,
-      inline relocation) and addresses decomposed with shifts — no
-      chunk buffer, so the trace cursor is exact at every suspend point
-      (modulo one stashed record, flagged to the driver);
-    * the L1 probe moves ahead of the front end (it has no side
-      effects; the hit/miss paths below reuse its result unchanged), so
-      L1 hits can run ahead of the quantum bound and only a missing
-      record at the bound suspends, parked in ``stash``.
+      core front-end -> L1 lookup -> (L2 -> LLC -> DRAM demand path with
+      inline fills/evictions) -> PPF demand feedback -> SPP signature/
+      pattern update -> fused lookahead+decide with table inserts and
+      displacement training -> prefetch issue at the L2-demand cycle ->
+      L1 fill -> core tail.
+
+    Core-private state (core clock and counters, L1/L2 views, SPP/PPF
+    tables and scalars, the inflight queue) lives in locals until
+    ``close()``; shared LLC/DRAM *counters* go through ``sh``, the
+    driver-owned hoist list every fused runner aliases (see the module's
+    shared-state rule) — the shared containers themselves are aliased
+    live, every mutation is in place.  Records are produced one at a
+    time (for the synthetic ``TraceStream``, inline — see the
+    trace-production hoist below — otherwise pulled from the endless
+    iterator; inline lap rollover, inline relocation), so the trace
+    cursor is exact at every suspend point (modulo one stashed record,
+    flagged to the driver).  The L1 probe runs ahead of the front end
+    (it has no side effects; the hit/miss paths below reuse its result
+    unchanged), so L1 hits can run ahead of the quantum bound and only a
+    missing record at the bound suspends, parked in ``stash``.
     """
     core = sim.o3cores[i]
     trace = sim.traces[i]

@@ -77,42 +77,6 @@ def encode_delta(delta: int) -> int:
     return (sign << DELTA_MAGNITUDE_BITS) | magnitude
 
 
-def decompose_batch(addrs):
-    """Vectorized address decomposition for the batched engine.
-
-    Takes a sequence of byte addresses and returns plain Python lists
-    ``(blocks, pages, offsets)`` — block number, page number and
-    block-in-page offset per address — computed with one numpy pass
-    instead of per-record shifts.  Set indices are *not* produced here:
-    they are cache-geometry masks of ``blocks`` and the engine computes
-    them against each cache's own mask.
-
-    Raises :class:`OverflowError` if an address does not fit ``int64``
-    (callers fall back to scalar decomposition — correctness never
-    depends on this helper).
-    """
-    import numpy as np
-
-    arr = np.asarray(addrs, dtype=np.int64)
-    blocks = arr >> BLOCK_BITS
-    pages = arr >> PAGE_BITS
-    offsets = blocks & (BLOCKS_PER_PAGE - 1)
-    return blocks.tolist(), pages.tolist(), offsets.tolist()
-
-
-def encode_delta_batch(deltas):
-    """Vectorized :func:`encode_delta` over a sequence of deltas.
-
-    Returns a numpy ``int64`` array using the same saturate-magnitude +
-    sign-bit layout as the scalar function.
-    """
-    import numpy as np
-
-    arr = np.asarray(deltas, dtype=np.int64)
-    magnitude = np.minimum(np.abs(arr), MAX_DELTA_MAGNITUDE)
-    return np.where(arr < 0, magnitude | (1 << DELTA_MAGNITUDE_BITS), magnitude)
-
-
 def decode_delta(encoded: int) -> int:
     """Invert :func:`encode_delta` (for magnitudes within 6 bits)."""
     magnitude = encoded & MAX_DELTA_MAGNITUDE

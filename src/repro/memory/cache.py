@@ -259,11 +259,11 @@ class Cache:
     # -- engine seam ---------------------------------------------------------
 
     def engine_view(self):
-        """Raw mutable state for the batched engine's fused kernel.
+        """Raw mutable state for the batched engine's fused runner.
 
         Returns ``(sets, lru_order, stats, associativity, set_mask,
         latency)`` or ``None`` when the replacement policy is not LRU (the
-        fused kernel only inlines LRU; other policies take the generic
+        fused runner only inlines LRU; other policies take the generic
         path).  The engine relies on two invariants the scalar methods
         maintain: a resident block's tag is always present in its set's
         LRU order (so a touch is a plain ``move_to_end``), and

@@ -326,16 +326,16 @@ class SPP(Prefetcher):
     # -- engine seam -----------------------------------------------------------
 
     def engine_view(self):
-        """Raw mutable state for the batched engine's fused kernel.
+        """Raw mutable state for the batched engine's fused runner.
 
         Returns ``(config, signature_table, pattern_table, ghr)``.  The
-        containers are mutated in place by the kernel using the same
+        containers are mutated in place by the runner using the same
         structural rules as :meth:`train`/:meth:`_lookahead`.  The scalar
         counters that are *not* containers — ``_c_total``, ``_c_useful``,
         ``last_signature``, ``depth_sum``, ``depth_count`` and the
         inherited ``stats`` fields — are part of the seam contract too:
-        the kernel reads them at chunk start and writes them back before
-        returning, so ``state_dict`` is always consistent between chunks.
+        the runner reads them when it starts and writes them back when it
+        closes, so ``state_dict`` is always consistent between advances.
         """
         return (self.config, self._signature_table, self._pattern_table, self._ghr)
 

@@ -15,10 +15,13 @@ counted.
 Like the single-core driver, every phase advances through the engine
 seam (``config.engine``): the scalar engine runs the extracted
 record-at-a-time loop (heap-scheduled, same picks), the batched engine
-runs cores in cycle quanta over fused per-core kernels — see
-:mod:`repro.engine.multi_core` for the schedule-preservation argument.
-Both are bit-identical, checkpointable at any quantum boundary, and
-telemetry probes sample at ``probe_every``-aligned record counts.
+runs cores in cycle quanta over the same per-core runners it drives for
+single-core runs — see :mod:`repro.engine.multi_core` for the
+schedule-preservation argument.  Every captured per-core outcome is
+bit-identical across engines, snapshots are checkpointable at any
+advance boundary, and telemetry probes sample at
+``probe_every``-aligned record counts.  Each core reads its records
+through an :class:`~repro.sim.endless_trace._EndlessTrace` cursor.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from ..checkpoint import (
     save_snapshot,
 )
 from ..cpu.o3core import O3Core
-from ..cpu.trace import TraceRecord
 from ..engine import make_engine
 from ..memory.hierarchy import MemoryHierarchy
 from ..prefetchers.base import Prefetcher
@@ -47,8 +49,8 @@ from ..telemetry.probes import ProbeSet
 from ..telemetry.session import _UNSET, Telemetry
 from ..telemetry.session import resolve as _resolve_telemetry
 from ..workloads.mixes import WorkloadMix
-from ..workloads.spec2017 import WorkloadSpec
 from .config import SimConfig
+from .endless_trace import _EndlessTrace
 from .fingerprint import fingerprint_digest
 from .single_core import make_prefetcher
 
@@ -96,80 +98,6 @@ class MultiCoreResult:
     @property
     def total_issued(self) -> int:
         return sum(core.prefetches_issued for core in self.cores)
-
-
-class _EndlessTrace:
-    """Replay the workload forever (fresh seed per lap) for contention.
-
-    Each core's addresses are relocated into a disjoint physical region
-    (as the OS would map separate processes) — otherwise two copies of
-    the same benchmark would constructively share the LLC.  Iteration is
-    record-for-record identical to the generator this class replaced;
-    the class form exists so the lap position can be snapshotted.
-
-    ``_pending`` holds at most one *raw* (un-relocated) record that was
-    pulled from the stream but never simulated: the batched engine's
-    run-ahead can complete a measurement while a suspended core still
-    holds a just-pulled record the scalar schedule never reached.  It is
-    replayed before the stream resumes, and it rides along in snapshots,
-    so a post-completion checkpoint round-trips exactly.  The scalar
-    engine never parks anything here.
-    """
-
-    def __init__(self, workload: WorkloadSpec, chunk: int, seed: int, core: int) -> None:
-        self._workload = workload
-        self._chunk = chunk
-        self._offset = core << 44
-        self.lap_seed = seed
-        self._stream = workload.trace(chunk, seed=seed)
-        self._it = iter(self._stream)
-        self._pending: Optional[TraceRecord] = None
-
-    def __iter__(self) -> "_EndlessTrace":
-        return self
-
-    def __next__(self) -> TraceRecord:
-        rec = self._pending
-        if rec is not None:
-            self._pending = None
-        else:
-            try:
-                rec = next(self._it)
-            except StopIteration:
-                self.lap_seed += 1
-                self._stream = self._workload.trace(self._chunk, seed=self.lap_seed)
-                self._it = iter(self._stream)
-                rec = next(self._it)
-        return TraceRecord(pc=rec.pc, addr=rec.addr + self._offset, bubble=rec.bubble)
-
-    def state_dict(self) -> dict:
-        stream_state = getattr(self._stream, "state_dict", None)
-        if stream_state is None:
-            raise SnapshotError(
-                f"trace of workload {self._workload.name!r} is not checkpointable"
-            )
-        pending = self._pending
-        return {
-            "lap_seed": self.lap_seed,
-            "stream": stream_state(),
-            "pending": None
-            if pending is None
-            else [pending.pc, pending.addr, pending.bubble],
-        }
-
-    def load_state(self, state: dict) -> None:
-        lap_seed = int(state["lap_seed"])
-        if lap_seed != self.lap_seed:
-            self.lap_seed = lap_seed
-            self._stream = self._workload.trace(self._chunk, seed=lap_seed)
-            self._it = iter(self._stream)
-        self._stream.load_state(state["stream"])
-        pending = state["pending"]
-        self._pending = (
-            None
-            if pending is None
-            else TraceRecord(pc=pending[0], addr=pending[1], bubble=pending[2])
-        )
 
 
 def multi_core_warmup_digest(

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .. import registry
 from ..checkpoint import (
@@ -38,6 +38,7 @@ from ..telemetry.session import resolve as _resolve_telemetry
 from ..workloads.spec2017 import WorkloadSpec
 from ..zoo.filtered import FILTER_SPEC_PREFIX, make_filtered  # registers the zoo
 from .config import SimConfig
+from .endless_trace import _EndlessTrace
 from .fingerprint import fingerprint_digest
 
 #: Live registry view; kept for backward compatibility with callers
@@ -217,9 +218,10 @@ class SingleCoreSim:
             prefetchers=[prefetcher],
         )
         self.core = O3Core(0, self.hierarchy, self.config.core)
-        self.trace = workload.trace(
-            self.config.warmup_records + self.config.measure_records, seed=seed
-        )
+        #: Core 0's cursor, one lap long: ``advance`` never runs past
+        #: ``total_records``, so the run reads exactly the finite trace
+        #: ``workload.trace(total_records, seed)``.
+        self.trace = _EndlessTrace(workload, self.total_records, seed, core=0)
         #: The driver for the per-access loop (``config.engine``); every
         #: phase advances through it, so scalar/batched is a pure seam.
         self._engine = make_engine(self.config)
@@ -235,6 +237,16 @@ class SingleCoreSim:
     @property
     def total_records(self) -> int:
         return self.config.warmup_records + self.config.measure_records
+
+    # -- the 1-core view the batched engine's per-core runners address ---------
+
+    @property
+    def o3cores(self) -> List[O3Core]:
+        return [self.core]
+
+    @property
+    def traces(self) -> List[_EndlessTrace]:
+        return [self.trace]
 
     # -- telemetry -------------------------------------------------------------
 
@@ -271,7 +283,9 @@ class SingleCoreSim:
         return self._probe_set
 
     def advance(self, n_records: int) -> int:
-        """Step up to ``n_records`` more trace records."""
+        """Step up to ``n_records`` more trace records, never past
+        ``total_records`` (where the finite trace ends)."""
+        n_records = min(n_records, self.total_records - self.consumed)
         if n_records <= 0:
             return 0
         if self._telemetry is not None:
@@ -287,8 +301,8 @@ class SingleCoreSim:
         Engines flush all state before returning from ``advance`` (the
         seam contract), so probes see exactly what the uninstrumented
         run's machine state would be at the same record count — under
-        the batched engine this is the chunk-boundary sampling shim: no
-        per-access Python callbacks, probes fire between engine chunks.
+        the batched engine this is the advance-boundary sampling shim:
+        no per-access Python callbacks, probes fire between advances.
         """
         session = self._telemetry
         probe_set = self._probe_set
@@ -304,7 +318,7 @@ class SingleCoreSim:
             total_taken += taken
             remaining -= taken
             if taken < chunk:
-                break  # trace exhausted
+                break  # the engine stepped short: nothing left to sample
             if probe_set is not None and self.consumed % every == 0:
                 probe_set.sample(float(self.core.cycle), tracer)
         return total_taken
@@ -367,18 +381,15 @@ class SingleCoreSim:
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        trace_state = getattr(self.trace, "state_dict", None)
-        if trace_state is None:
-            raise SnapshotError(
-                f"trace of workload {self.workload.name!r} is not checkpointable"
-            )
         return {
             "workload": self.workload.name,
             "prefetcher": self.prefetcher.name,
             "seed": self.seed,
             "consumed": self.consumed,
             "measuring": self.measuring,
-            "trace": trace_state(),
+            # The run never leaves the cursor's first lap, so this is the
+            # lap's stream state: the finite trace's cursor.
+            "trace": self.trace.lap_state(),
             "core": self.core.state_dict(),
             "hierarchy": self.hierarchy.state_dict(),
         }
@@ -393,7 +404,7 @@ class SingleCoreSim:
                 raise SnapshotError(
                     f"snapshot {key}={state.get(key)!r} does not match sim {expect!r}"
                 )
-        self.trace.load_state(state["trace"])
+        self.trace.load_lap_state(state["trace"])
         self.core.load_state(state["core"])
         self.hierarchy.load_state(state["hierarchy"])
         self.consumed = int(state["consumed"])

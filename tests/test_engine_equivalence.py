@@ -12,10 +12,11 @@ stats snapshot must match to the last unit (see docs/performance.md,
 * checkpoints cross engines: a snapshot taken under one engine restores
   under the other and finishes bit-identical with a straight run, in
   both directions;
-* the engine chunk size and telemetry instrumentation are pure
-  throughput/observability knobs — neither may perturb results;
-* the vectorized feature/decision primitives agree index-for-index and
-  code-for-code with the scalar filter.
+* telemetry instrumentation is a pure observability knob — it may not
+  perturb results;
+* a derandomized property test draws workload family, scheme, phase
+  lengths and a cut point, and holds single-core batched to scalar on
+  the full stats and on ``state_dict()`` at the cut.
 
 The final test is the performance gate: ``end_to_end_single_core``
 under the batched engine must beat the committed pre-PR baseline by at
@@ -32,9 +33,8 @@ import pytest
 
 from repro.bench.micro import BENCHMARKS, run_benchmarks
 from repro.bench.report import default_baseline_path, load_baseline
-from repro.core.features import FeatureContext, production_index_batch
-from repro.core.filter import DECISION_BY_CODE
-from repro.engine.batched import BatchedEngine, _select_mode
+from repro.engine.batched import BatchedEngine
+from repro.engine.multi_core import _core_mode
 from repro.sim.config import SimConfig
 from repro.sim.single_core import SingleCoreSim, run_single_core
 from repro.telemetry import Telemetry, activate
@@ -104,12 +104,12 @@ class TestGoldenCellsUnderBothEngines:
     def test_ppf_cell_uses_the_fused_kernel(self):
         """Guard against the fused path silently falling back to generic
         (the golden comparison would still pass, but the 3× gate is won
-        by the fused kernel — losing it is a performance regression)."""
+        by the fused runner — losing it is a performance regression)."""
         sim = SingleCoreSim(find_workload("605.mcf_s"), "ppf", _config("batched"), seed=SEED)
         assert isinstance(sim._engine, BatchedEngine)
-        assert _select_mode(sim) == "ppf"
+        assert _core_mode(sim, 0) == "ppf"
         spp_sim = SingleCoreSim(find_workload("605.mcf_s"), "spp", _config("batched"), seed=SEED)
-        assert _select_mode(spp_sim) == "generic"
+        assert _core_mode(spp_sim, 0) == "generic"
 
 
 class TestCrossEngineCheckpoints:
@@ -159,15 +159,6 @@ class TestCrossEngineCheckpoints:
 
 
 class TestKnobsDoNotPerturbResults:
-    def test_engine_chunk_is_a_pure_throughput_knob(self):
-        workload = find_workload("623.xalancbmk_s")
-        reference = run_single_core(workload, "ppf", _config("batched"), seed=SEED)
-        for chunk in (1, 63, 500):
-            result = run_single_core(
-                workload, "ppf", _config("batched", engine_chunk=chunk), seed=SEED
-            )
-            _assert_results_identical(result, reference, f"engine_chunk={chunk}")
-
     def test_probe_sampling_shim_is_read_only(self):
         """Instrumented batched runs sample probes at chunk boundaries;
         every non-telemetry stat must match the uninstrumented run."""
@@ -185,84 +176,6 @@ class TestKnobsDoNotPerturbResults:
             if plain.stats.get(stat) != probed.stats.get(stat)
         }
         assert not mismatched, mismatched
-
-
-class TestVectorizedPrimitives:
-    """The numpy feature/decision twins match the scalar filter exactly."""
-
-    def _contexts(self):
-        out = []
-        value = 0x9E3779B97F4A7C15
-        for step in range(64):
-            value = (value * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            bits = value
-            out.append(
-                FeatureContext(
-                    candidate_addr=(bits >> 3) % (1 << 48),
-                    trigger_addr=(bits >> 7) % (1 << 48),
-                    pc=0x400000 + (bits % 4096) * 4,
-                    pcs=(
-                        0x400000 + ((bits >> 12) % 4096) * 4,
-                        0x400000 + ((bits >> 24) % 4096) * 4,
-                        0x400000 + ((bits >> 36) % 4096) * 4,
-                    ),
-                    delta=(bits % 129) - 64,
-                    depth=bits % 12,
-                    signature=bits % 4096,
-                    last_signature=(bits >> 5) % 4096,
-                    confidence=bits % 101,
-                )
-            )
-        return out
-
-    def _filter(self):
-        from repro.sim.single_core import make_prefetcher
-
-        ppf = make_prefetcher("ppf")
-        return ppf.engine_view()[1]
-
-    def test_production_index_batch_matches_feature_indices(self):
-        filt = self._filter()
-        contexts = self._contexts()
-        matrix = production_index_batch(
-            [c.candidate_addr for c in contexts],
-            [c.trigger_addr for c in contexts],
-            [c.pc for c in contexts],
-            [c.pcs[0] for c in contexts],
-            [c.pcs[1] for c in contexts],
-            [c.pcs[2] for c in contexts],
-            [c.delta for c in contexts],
-            [c.depth for c in contexts],
-            [c.signature for c in contexts],
-            [c.confidence for c in contexts],
-        )
-        for column, ctx in enumerate(contexts):
-            assert tuple(matrix[:, column].tolist()) == filt.feature_indices(ctx)
-
-    def test_decide_batch_matches_decide(self):
-        filt = self._filter()
-        contexts = self._contexts()
-        # Push some weights off zero so the codes actually spread.
-        for ctx in contexts[::3]:
-            filt.train(filt.feature_indices(ctx), positive=(ctx.depth % 2 == 0))
-        matrix = production_index_batch(
-            [c.candidate_addr for c in contexts],
-            [c.trigger_addr for c in contexts],
-            [c.pc for c in contexts],
-            [c.pcs[0] for c in contexts],
-            [c.pcs[1] for c in contexts],
-            [c.pcs[2] for c in contexts],
-            [c.delta for c in contexts],
-            [c.depth for c in contexts],
-            [c.signature for c in contexts],
-            [c.confidence for c in contexts],
-        )
-        codes, totals = filt.decide_batch(matrix)
-        for column, ctx in enumerate(contexts):
-            code, total, _ = filt.decide(ctx)
-            assert codes[column] == code, ctx
-            assert totals[column] == total, ctx
-            assert DECISION_BY_CODE[codes[column]] is DECISION_BY_CODE[code]
 
 
 @pytest.mark.skipif(
